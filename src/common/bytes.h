@@ -49,7 +49,9 @@ class ByteWriter {
 };
 
 /// Sequential reader over a byte range; every Get checks bounds and returns
-/// Corruption on truncated input rather than reading past the end.
+/// Corruption on truncated input rather than reading past the end. Length
+/// prefixes are compared against the bytes remaining, so no declared
+/// length, however large, can wrap the check or size an allocation.
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
@@ -67,7 +69,7 @@ class ByteReader {
   Status GetString(std::string* s) {
     uint32_t n = 0;
     MISTIQUE_RETURN_NOT_OK(GetU32(&n));
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
     s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return Status::OK();
@@ -76,14 +78,15 @@ class ByteReader {
   Status GetBlob(std::vector<uint8_t>* b) {
     uint64_t n = 0;
     MISTIQUE_RETURN_NOT_OK(GetU64(&n));
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
     b->assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
     return Status::OK();
   }
 
   Status GetRaw(void* out, size_t n) {
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
+    if (n == 0) return Status::OK();  // `out` may be null for empty reads.
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

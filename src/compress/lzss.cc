@@ -1,5 +1,7 @@
 #include "compress/lzss.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -15,11 +17,53 @@ constexpr size_t kMaxMatch = 0xffff;
 constexpr int kHashBits = 17;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 constexpr int kMaxChainSteps = 16;
+// A match token (6 bytes plus a control bit) emits at most kMaxMatch
+// bytes, so no stream yields more than ceil(kMaxMatch / 6) output bytes
+// per input byte.
+constexpr uint64_t kMaxExpansion = (kMaxMatch + 5) / 6;
 
 inline uint32_t HashAt(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Decoder output slack: match and literal copies move whole 8- or 16-byte
+// words and may write up to kSlack bytes past the token's true end. Those
+// bytes are overwritten by the tokens that follow, or trimmed at the end.
+constexpr size_t kSlack = 16;
+// Input bytes that 8 tokens plus one 8-byte literal copy can read.
+constexpr ptrdiff_t kFastInputBytes = 8 * 6 + 8;
+
+// Copies a match of `length` bytes from `distance` back, where
+// 1 <= distance <= bytes written so far. The source may overlap the
+// destination (distance < length); the result is the one a byte-at-a-time
+// copy gives, where each output byte may repeat one just written. Each
+// word copied reads only bytes that earlier steps wrote.
+inline void CopyMatch(uint8_t* op, size_t distance, size_t length) {
+  uint8_t* const end = op + length;
+  const uint8_t* src = op - distance;
+  if (distance >= 16) {
+    if (distance >= length && length > 64) {
+      std::memcpy(op, src, length);
+      return;
+    }
+    for (; op < end; op += 16, src += 16) std::memcpy(op, src, 16);
+    return;
+  }
+  if (distance == 1) {
+    std::memset(op, *src, length);
+    return;
+  }
+  if (distance < 8) {
+    // The copied bytes repeat with every multiple of `distance`, so after
+    // the first `period` bytes the copy can read `period` >= 8 bytes back.
+    const size_t period = distance * ((8 + distance - 1) / distance);
+    uint8_t* const stop = op + std::min(length, period);
+    for (; op < stop; ++op) *op = op[-static_cast<ptrdiff_t>(distance)];
+    src = op - period;
+  }
+  for (; op < end; op += 8, src += 8) std::memcpy(op, src, 8);
 }
 
 // Token stream writer: control byte every 8 tokens.
@@ -148,40 +192,75 @@ Status LzssCodec::Decompress(const std::vector<uint8_t>& input,
   ByteReader r(input);
   uint64_t out_len = 0;
   MISTIQUE_RETURN_NOT_OK(r.GetU64(&out_len));
-  output->clear();
-  output->reserve(out_len);
+  // Bound the declared length by what the stream can produce before
+  // allocating for it: a corrupt header must not size the buffer.
+  if (out_len / kMaxExpansion + (out_len % kMaxExpansion != 0) >
+      r.remaining()) {
+    return Status::Corruption("lzss: declared length " +
+                              std::to_string(out_len) +
+                              " exceeds what the stream can encode");
+  }
+  output->resize(out_len + kSlack);
 
-  uint8_t ctrl = 0;
-  int bit = 8;
-  while (output->size() < out_len) {
-    if (bit == 8) {
-      MISTIQUE_RETURN_NOT_OK(r.GetU8(&ctrl));
-      bit = 0;
+  const uint8_t* ip = input.data() + r.position();
+  const uint8_t* const iend = input.data() + input.size();
+  uint8_t* const base = output->data();
+  uint8_t* op = base;
+  uint8_t* const oend = base + out_len;
+  const auto truncated = [] {
+    return Status::Corruption("lzss: stream truncated");
+  };
+  // Validates a match token at `ip` against the output so far; on success
+  // copies it and advances both cursors.
+  const auto match = [&]() -> Status {
+    uint32_t distance = 0;
+    uint16_t length = 0;
+    std::memcpy(&distance, ip, 4);
+    std::memcpy(&length, ip + 4, 2);
+    ip += 6;
+    if (distance == 0 || distance > static_cast<size_t>(op - base)) {
+      return Status::Corruption("lzss: invalid match distance");
     }
-    const bool is_match = (ctrl >> bit) & 1;
-    bit++;
-    if (is_match) {
-      uint32_t distance = 0;
-      uint16_t length = 0;
-      MISTIQUE_RETURN_NOT_OK(r.GetU32(&distance));
-      MISTIQUE_RETURN_NOT_OK(r.GetU16(&length));
-      if (distance == 0 || distance > output->size()) {
-        return Status::Corruption("lzss: invalid match distance");
+    if (length > oend - op) {
+      return Status::Corruption("lzss: match overruns declared length");
+    }
+    CopyMatch(op, distance, length);
+    op += length;
+    return Status::OK();
+  };
+
+  while (op < oend) {
+    if (ip == iend) return truncated();
+    const unsigned ctrl = *ip++;
+    if (iend - ip < kFastInputBytes) {
+      // Near the end of the input: one token at a time, each bounded.
+      for (int bit = 0; bit < 8 && op < oend; ++bit) {
+        if (((ctrl >> bit) & 1) == 0) {
+          if (ip == iend) return truncated();
+          *op++ = *ip++;
+        } else {
+          if (iend - ip < 6) return truncated();
+          MISTIQUE_RETURN_NOT_OK(match());
+        }
       }
-      if (output->size() + length > out_len) {
-        return Status::Corruption("lzss: match overruns declared length");
-      }
-      // Byte-by-byte copy: matches may overlap their own output.
-      size_t src = output->size() - distance;
-      for (uint16_t k = 0; k < length; ++k) {
-        output->push_back((*output)[src + k]);
-      }
-    } else {
-      uint8_t b = 0;
-      MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));
-      output->push_back(b);
+      continue;
+    }
+    // All 8 tokens, and an 8-byte copy after any of them, are in bounds.
+    // Runs of literals move as one word; the output slack absorbs the
+    // excess, and an output that is complete ends the loop early.
+    int bit = 0;
+    while (true) {
+      const int literals = std::min(std::countr_zero(ctrl >> bit), 8 - bit);
+      std::memcpy(op, ip, 8);
+      op += literals;
+      ip += literals;
+      bit += literals;
+      if (bit == 8 || op >= oend) break;
+      MISTIQUE_RETURN_NOT_OK(match());
+      if (++bit == 8 || op >= oend) break;
     }
   }
+  output->resize(out_len);
   return Status::OK();
 }
 

@@ -13,7 +13,9 @@ namespace mistique {
 Status CostModel::Calibrate(DataStore* store, size_t probe_bytes) {
   // Round-trip a synthetic partition: seal (compress + write) then read
   // (read + decompress). Random-ish floats defeat trivial compression so
-  // the measured bandwidth is representative of activation data.
+  // the measured bandwidth is representative of activation data. LZSS
+  // cannot shrink them, so the partition is stored raw and the read side
+  // times file read + CRC + decode without an LZSS pass.
   Rng rng(123);
   const size_t n_values = probe_bytes / sizeof(double);
   std::vector<double> values(n_values);

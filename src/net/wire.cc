@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <bit>
 #include <cstring>
 
 #include "durability/crc32c.h"
@@ -14,9 +15,53 @@ namespace {
 constexpr size_t kMinStringBytes = 4;  // empty string = u32 length
 
 void PutLe(std::string* out, uint64_t v, size_t bytes) {
+  char buf[8];
   for (size_t i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  out->append(buf, bytes);
+}
+
+/// Vectors of 8-byte values travel as little-endian words. When the host's
+/// byte order already is the wire's, a whole vector is one block copy.
+template <typename T>
+void AppendWords(std::string* out, const std::vector<T>& v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) {
+      out->append(reinterpret_cast<const char*>(v.data()), 8 * v.size());
+    }
+  } else {
+    for (const T& x : v) PutLe(out, std::bit_cast<uint64_t>(x), 8);
+  }
+}
+
+/// Fills the already-sized `v` from 8 * v->size() bytes at `p`.
+template <typename T>
+void CopyWords(const uint8_t* p, std::vector<T>* v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v->empty()) std::memcpy(v->data(), p, 8 * v->size());
+  } else {
+    for (T& x : *v) {
+      uint64_t word = 0;
+      for (size_t i = 0; i < 8; ++i) word |= static_cast<uint64_t>(*p++) << (8 * i);
+      x = std::bit_cast<T>(word);
+    }
+  }
+}
+
+/// Encoded sizes, so result encoders can reserve their payload up front.
+size_t StringVecBytes(const std::vector<std::string>& v) {
+  size_t n = 4;
+  for (const std::string& s : v) n += 4 + s.size();
+  return n;
+}
+
+size_t F64ColumnsBytes(const std::vector<std::vector<double>>& columns) {
+  size_t n = 4;
+  for (const std::vector<double>& col : columns) n += 4 + 8 * col.size();
+  return n;
 }
 
 }  // namespace
@@ -88,12 +133,12 @@ void Writer::PutString(std::string_view s) {
 
 void Writer::PutU64Vec(const std::vector<uint64_t>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  for (uint64_t x : v) PutU64(x);
+  AppendWords(out_, v);
 }
 
 void Writer::PutF64Vec(const std::vector<double>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  for (double x : v) PutF64(x);
+  AppendWords(out_, v);
 }
 
 void Writer::PutStringVec(const std::vector<std::string>& v) {
@@ -160,7 +205,8 @@ Status Reader::GetU64Vec(std::vector<uint64_t>* v) {
   MISTIQUE_RETURN_NOT_OK(GetU32(&count));
   if (remaining() / 8 < count) return Truncated("u64 vector");
   v->resize(count);
-  for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(GetU64(&(*v)[i]));
+  CopyWords(p_ + pos_, v);
+  pos_ += 8 * size_t{count};
   return Status::OK();
 }
 
@@ -169,7 +215,8 @@ Status Reader::GetF64Vec(std::vector<double>* v) {
   MISTIQUE_RETURN_NOT_OK(GetU32(&count));
   if (remaining() / 8 < count) return Truncated("f64 vector");
   v->resize(count);
-  for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(GetF64(&(*v)[i]));
+  CopyWords(p_ + pos_, v);
+  pos_ += 8 * size_t{count};
   return Status::OK();
 }
 
@@ -346,6 +393,9 @@ Status DecodeFetchRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeFetchResult(const FetchResult& result) {
   std::string out;
+  out.reserve(StringVecBytes(result.column_names) +
+              F64ColumnsBytes(result.columns) + 4 +
+              8 * result.row_ids.size() + 2 + 3 * 8 + 1);
   Writer w(&out);
   w.PutStringVec(result.column_names);
   w.PutU32(static_cast<uint32_t>(result.columns.size()));
@@ -416,6 +466,9 @@ Status DecodeScanRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeScanResult(const ScanResult& result) {
   std::string out;
+  out.reserve(4 + 8 * result.row_ids.size() +
+              StringVecBytes(result.column_names) +
+              F64ColumnsBytes(result.columns) + 2 * 8);
   Writer w(&out);
   w.PutU64Vec(result.row_ids);
   w.PutStringVec(result.column_names);

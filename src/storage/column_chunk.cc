@@ -24,7 +24,7 @@ ColumnChunk ColumnChunk::FromDoubles(const std::vector<double>& values,
   std::vector<uint8_t> data(DTypeByteSize(dtype, values.size()));
   switch (dtype) {
     case DType::kFloat64:
-      std::memcpy(data.data(), values.data(), data.size());
+      if (!data.empty()) std::memcpy(data.data(), values.data(), data.size());
       break;
     case DType::kFloat32: {
       auto* out = reinterpret_cast<float*>(data.data());
@@ -50,7 +50,7 @@ ColumnChunk ColumnChunk::FromDoubles(const std::vector<double>& values,
 
 ColumnChunk ColumnChunk::FromInts(const std::vector<int64_t>& values) {
   std::vector<uint8_t> data(values.size() * sizeof(int64_t));
-  std::memcpy(data.data(), values.data(), data.size());
+  if (!data.empty()) std::memcpy(data.data(), values.data(), data.size());
   return ColumnChunk(DType::kInt64, values.size(), std::move(data));
 }
 
@@ -107,7 +107,7 @@ Result<std::vector<double>> ColumnChunk::DecodeAsDouble(
   std::vector<double> out(num_values_);
   switch (dtype_) {
     case DType::kFloat64:
-      std::memcpy(out.data(), data_.data(), data_.size());
+      if (!data_.empty()) std::memcpy(out.data(), data_.data(), data_.size());
       break;
     case DType::kFloat32: {
       const auto* in = reinterpret_cast<const float*>(data_.data());

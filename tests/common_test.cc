@@ -248,5 +248,37 @@ TEST(BytesTest, TruncatedStringIsCorruption) {
   EXPECT_EQ(r.GetString(&s).code(), StatusCode::kCorruption);
 }
 
+TEST(BytesTest, HugeLengthPrefixIsCorruption) {
+  // Length prefixes near the top of their range must not wrap the bounds
+  // check into a giant allocation or an out-of-range read.
+  ByteWriter w;
+  w.PutU64(~uint64_t{0} - 2);  // 2^64 - 3
+  w.PutU64(0);
+  std::vector<uint8_t> blob;
+  ByteReader blob_reader(w.bytes());
+  EXPECT_EQ(blob_reader.GetBlob(&blob).code(), StatusCode::kCorruption);
+
+  ByteWriter ws;
+  ws.PutU32(~uint32_t{0});
+  ws.PutU32(0);
+  std::string s;
+  ByteReader string_reader(ws.bytes());
+  EXPECT_EQ(string_reader.GetString(&s).code(), StatusCode::kCorruption);
+
+  uint64_t v = 0;
+  ByteReader raw_reader(w.bytes());
+  ASSERT_OK(raw_reader.GetU64(&v));
+  EXPECT_EQ(raw_reader.GetRaw(&v, ~size_t{0} - 3).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(BytesTest, EmptyReadsFromEmptyBuffers) {
+  // Zero-length reads touch no memory, even with null pointers around.
+  ByteReader r(nullptr, 0);
+  EXPECT_OK(r.GetRaw(nullptr, 0));
+  std::vector<uint8_t> blob;
+  EXPECT_EQ(r.GetBlob(&blob).code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace mistique

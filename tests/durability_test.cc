@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/mistique.h"
 #include "durability/crc32c.h"
 #include "durability/durable_file.h"
@@ -48,6 +49,41 @@ TEST(Crc32cTest, ExtendComposesOverSplits) {
               whole)
         << "split at " << split;
   }
+}
+
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (std::string(Crc32cTier()) != "sse4.2") {
+    GTEST_SKIP() << "no SSE4.2 on this host; only slice-by-8 runs";
+  }
+  TestSeed seed(20261023);
+  Rng rng(seed);
+  // 8 bytes of slack so every start offset 0..7 can read 512 bytes.
+  std::vector<uint8_t> data(512 + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.NextBelow(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = data.data() + offset;
+    for (size_t len = 0; len <= 512; ++len) {
+      const uint32_t want = Crc32cExtendPortable(0, p, len);
+      ASSERT_EQ(Crc32cExtendHardware(0, p, len), want)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32c(p, len), want);
+      // Chained over a split, each path continues the other's value.
+      const size_t split = len == 0 ? 0 : rng.NextBelow(len + 1);
+      const uint32_t head_hw = Crc32cExtendHardware(0, p, split);
+      const uint32_t head_sw = Crc32cExtendPortable(0, p, split);
+      ASSERT_EQ(head_hw, head_sw);
+      ASSERT_EQ(Crc32cExtendPortable(head_hw, p + split, len - split), want);
+      ASSERT_EQ(Crc32cExtendHardware(head_sw, p + split, len - split), want);
+    }
+  }
+}
+
+TEST(Crc32cTest, PortablePathMatchesKnownAnswers) {
+  // The fallback must stay correct even on hosts where it is not picked.
+  EXPECT_EQ(Crc32cExtendPortable(0, "123456789", 9), 0xE3069283u);
+  std::vector<uint8_t> zeros(32, 0x00);
+  EXPECT_EQ(Crc32cExtendPortable(0, zeros.data(), zeros.size()),
+            0x8A9136AAu);
 }
 
 // ------------------------------------------------------ File envelope

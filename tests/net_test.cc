@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -174,6 +175,148 @@ TEST(WireTest, FetchResultRoundTrip) {
   EXPECT_EQ(out.from_cache, result.from_cache);
   EXPECT_DOUBLE_EQ(out.fetch_seconds, result.fetch_seconds);
   EXPECT_EQ(out.materialized_now, result.materialized_now);
+}
+
+// Element-wise little-endian reference encoders: what the wire format
+// says, written one byte at a time. The bulk vector paths must match them.
+void RefLe(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+void RefF64(std::string* out, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, 8);
+  RefLe(out, bits, 8);
+}
+
+void RefString(std::string* out, const std::string& s) {
+  RefLe(out, s.size(), 4);
+  out->append(s);
+}
+
+void RefColumns(std::string* out,
+                const std::vector<std::vector<double>>& columns) {
+  RefLe(out, columns.size(), 4);
+  for (const auto& col : columns) {
+    RefLe(out, col.size(), 4);
+    for (double v : col) RefF64(out, v);
+  }
+}
+
+void RefU64s(std::string* out, const std::vector<uint64_t>& v) {
+  RefLe(out, v.size(), 4);
+  for (uint64_t x : v) RefLe(out, x, 8);
+}
+
+std::string RefFetchResult(const FetchResult& r) {
+  std::string out;
+  RefLe(&out, r.column_names.size(), 4);
+  for (const std::string& name : r.column_names) RefString(&out, name);
+  RefColumns(&out, r.columns);
+  RefU64s(&out, r.row_ids);
+  RefLe(&out, r.used_read, 1);
+  RefLe(&out, r.from_cache, 1);
+  RefF64(&out, r.fetch_seconds);
+  RefF64(&out, r.predicted_read_sec);
+  RefF64(&out, r.predicted_rerun_sec);
+  RefLe(&out, r.materialized_now, 1);
+  return out;
+}
+
+std::string RefScanResult(const ScanResult& r) {
+  std::string out;
+  RefU64s(&out, r.row_ids);
+  RefLe(&out, r.column_names.size(), 4);
+  for (const std::string& name : r.column_names) RefString(&out, name);
+  RefColumns(&out, r.columns);
+  RefLe(&out, r.blocks_scanned, 8);
+  RefLe(&out, r.blocks_pruned, 8);
+  return out;
+}
+
+bool SameBits(const std::vector<std::vector<double>>& a,
+              const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    if (!a[i].empty() &&
+        std::memcmp(a[i].data(), b[i].data(), 8 * a[i].size()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<std::vector<std::vector<double>>> EdgeColumnSets() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t payload_nan_bits = 0x7ff4000000000abcull;  // signaling, payload
+  double payload_nan = 0;
+  std::memcpy(&payload_nan, &payload_nan_bits, 8);
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      {},    // no columns
+      {{}},  // one empty column
+      {{}, {1.0}, {}},
+      {{nan, -nan, payload_nan}, {-0.0, 0.0, -0.0}},
+      {{denorm_min, -denorm_min, 1e-310, std::numeric_limits<double>::min()},
+       {inf, -inf, std::numeric_limits<double>::max(), -1.5}},
+  };
+}
+
+TEST(WireTest, ResultEncodingsMatchElementwiseReference) {
+  uint64_t n = 0;
+  for (const auto& columns : EdgeColumnSets()) {
+    FetchResult fetch;
+    fetch.columns = columns;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      fetch.column_names.push_back("n" + std::to_string(c));
+    }
+    if (!columns.empty()) {
+      for (size_t r = 0; r < columns.back().size(); ++r) {
+        fetch.row_ids.push_back(r * 1000003 + n);
+      }
+    }
+    fetch.used_read = n % 2 == 0;
+    fetch.fetch_seconds = -0.0;
+    fetch.predicted_read_sec = std::numeric_limits<double>::denorm_min();
+    fetch.predicted_rerun_sec = std::numeric_limits<double>::quiet_NaN();
+    ScanResult scan;
+    scan.row_ids = fetch.row_ids;
+    scan.column_names = fetch.column_names;
+    scan.columns = columns;
+    scan.blocks_scanned = ~uint64_t{0} - n;
+    scan.blocks_pruned = n++;
+
+    const std::string fetch_bytes = wire::EncodeFetchResult(fetch);
+    const std::string scan_bytes = wire::EncodeScanResult(scan);
+    ASSERT_EQ(fetch_bytes, RefFetchResult(fetch));
+    ASSERT_EQ(scan_bytes, RefScanResult(scan));
+
+    FetchResult fetch_out;
+    ScanResult scan_out;
+    ASSERT_OK(wire::DecodeFetchResult(fetch_bytes, &fetch_out));
+    ASSERT_OK(wire::DecodeScanResult(scan_bytes, &scan_out));
+    EXPECT_TRUE(SameBits(fetch_out.columns, fetch.columns));
+    EXPECT_TRUE(SameBits(scan_out.columns, scan.columns));
+    EXPECT_EQ(fetch_out.row_ids, fetch.row_ids);
+    EXPECT_EQ(scan_out.row_ids, scan.row_ids);
+    EXPECT_EQ(scan_out.blocks_scanned, scan.blocks_scanned);
+
+    for (size_t len = 0; len < fetch_bytes.size(); ++len) {
+      FetchResult out;
+      ASSERT_FALSE(
+          wire::DecodeFetchResult(fetch_bytes.substr(0, len), &out).ok())
+          << "fetch truncation at " << len;
+    }
+    for (size_t len = 0; len < scan_bytes.size(); ++len) {
+      ScanResult out;
+      ASSERT_FALSE(wire::DecodeScanResult(scan_bytes.substr(0, len), &out).ok())
+          << "scan truncation at " << len;
+    }
+  }
 }
 
 TEST(WireTest, ScanRoundTrip) {

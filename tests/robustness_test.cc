@@ -2,6 +2,8 @@
 // bytes rot, catalogs truncate, or inputs hit representational edges.
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 
@@ -9,6 +11,8 @@
 #include "common/random.h"
 #include "compress/lzss.h"
 #include "core/mistique.h"
+#include "durability/durable_file.h"
+#include "storage/partition.h"
 #include "gtest/gtest.h"
 #include "pipeline/templates.h"
 #include "pipeline/zillow.h"
@@ -82,6 +86,138 @@ TEST_P(LzssFuzzTest, RandomStructuredBuffersRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LzssFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ------------------------------- Mutation fuzzing behind a valid CRC32C
+
+// Rewrites `bytes` with 1-4 seeded mutations: bit flips, byte overwrites,
+// length-like fields set to extreme values, truncation, or junk appended.
+void Mutate(Rng* rng, std::vector<uint8_t>* bytes) {
+  const int edits = 1 + static_cast<int>(rng->NextBelow(4));
+  for (int i = 0; i < edits && !bytes->empty(); ++i) {
+    const size_t at = rng->NextBelow(bytes->size());
+    switch (rng->NextBelow(5)) {
+      case 0:
+        (*bytes)[at] ^= static_cast<uint8_t>(1u << rng->NextBelow(8));
+        break;
+      case 1:
+        (*bytes)[at] = static_cast<uint8_t>(rng->NextBelow(256));
+        break;
+      case 2: {  // A u32 or u64 field set to an extreme value.
+        static const uint64_t kExtremes[] = {
+            0, 1, 0x7fffffffu, 0xffffffffu, uint64_t{1} << 62,
+            ~uint64_t{0} - 2, ~uint64_t{0}};
+        const uint64_t v = kExtremes[rng->NextBelow(std::size(kExtremes))];
+        const size_t width = rng->NextBelow(2) == 0 ? 4 : 8;
+        if (at + width <= bytes->size()) {
+          std::memcpy(bytes->data() + at, &v, width);
+        }
+        break;
+      }
+      case 3:
+        bytes->resize(at);
+        break;
+      default:
+        for (int k = 0; k < 8; ++k) {
+          bytes->push_back(static_cast<uint8_t>(rng->NextBelow(256)));
+        }
+    }
+  }
+}
+
+// Decoders may accept a mutated input or reject it with a typed error;
+// they may never crash, throw, or hand back a status outside these.
+void ExpectTyped(const Status& st, int round) {
+  ASSERT_TRUE(st.ok() || st.code() == StatusCode::kCorruption ||
+              st.code() == StatusCode::kInvalidArgument)
+      << "round " << round << ": " << st.ToString();
+}
+
+class DecoderMutationTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DecoderMutationTest, LzssStreamsFailTyped) {
+  TestSeed seed(GetParam());
+  Rng rng(seed);
+  std::vector<uint8_t> input(24 * 1024);
+  for (size_t i = 0; i < input.size(); ++i) {
+    // KBIT-like: mostly zero bins with sparse activations and repeats.
+    input[i] = rng.NextBelow(5) == 0 ? static_cast<uint8_t>(rng.NextBelow(256))
+                                     : 0;
+    if (i >= 1024 && rng.NextBelow(64) == 0) input[i] = input[i - 1024];
+  }
+  LzssCodec codec;
+  std::vector<uint8_t> stream;
+  ASSERT_OK(codec.Compress(input, &stream));
+  for (int round = 0; round < 4000; ++round) {
+    std::vector<uint8_t> mutated = stream;
+    Mutate(&rng, &mutated);
+    std::vector<uint8_t> output;
+    const Status st = codec.Decompress(mutated, &output);
+    ExpectTyped(st, round);
+    if (st.ok()) {
+      ASSERT_LE(output.size(), mutated.size() * 10923);
+    }
+  }
+}
+
+TEST_P(DecoderMutationTest, PartitionFilesFailTyped) {
+  TestSeed seed(GetParam());
+  Rng rng(seed);
+  TempDir dir("mutate");
+  // One partition per storage codec outcome: LZSS-coded and stored raw,
+  // with every dtype a reader decodes.
+  Partition p(7);
+  std::vector<double> doubles(64);
+  for (double& v : doubles) v = rng.Gaussian();
+  std::vector<uint8_t> bins(300);
+  for (uint8_t& b : bins) b = static_cast<uint8_t>(rng.NextBelow(4) * 60);
+  std::vector<uint8_t> small_bins(bins.size());
+  for (size_t i = 0; i < bins.size(); ++i) small_bins[i] = bins[i] % 8;
+  std::vector<bool> bits(77);
+  for (size_t i = 0; i < bits.size(); ++i) bits[i] = rng.NextBelow(2) == 1;
+  ASSERT_OK(p.Add(1, ColumnChunk::FromDoubles(doubles)));
+  ASSERT_OK(p.Add(2, ColumnChunk::FromDoubles(doubles, DType::kFloat32)));
+  ASSERT_OK(p.Add(3, ColumnChunk::FromDoubles(doubles, DType::kFloat16)));
+  ASSERT_OK(p.Add(4, ColumnChunk::FromBins(bins)));
+  ASSERT_OK(p.Add(5, ColumnChunk::FromBits(bits)));
+  ASSERT_OK(p.Add(6, ColumnChunk::FromInts({1, -2, 3})));
+  ASSERT_OK(p.Add(7, ColumnChunk::FromPackedBins(small_bins, 3)));
+  ASSERT_OK(p.Add(8, ColumnChunk::FromPackedWords(small_bins, 5)));
+  ASSERT_OK(p.Add(9, ColumnChunk()));
+  ASSERT_OK(p.Add(10, ColumnChunk::FromBins(std::vector<uint8_t>(2048, 0))));
+  std::vector<std::vector<uint8_t>> files;
+  for (CodecType type : {CodecType::kLzss, CodecType::kNone}) {
+    const Codec* codec = GetCodec(type).ValueOrDie();
+    files.push_back(p.Serialize(*codec).ValueOrDie());
+  }
+  ASSERT_NE(files[0][8], files[1][8]) << "expected one LZSS, one raw";
+
+  ReconstructionTable identity;
+  for (int i = 0; i < 256; ++i) identity.centers.push_back(i);
+  const std::string path = dir.path() + "/part.mq";
+  for (int round = 0; round < 1500; ++round) {
+    std::vector<uint8_t> mutated = files[rng.NextBelow(files.size())];
+    Mutate(&rng, &mutated);
+    // Re-seal: the envelope CRC matches, so the partition decoder itself
+    // is what sees the damage.
+    ASSERT_OK(WriteEnvelopeFileAtomic(path, mutated, /*sync=*/false,
+                                      "mutate"));
+    ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> sealed,
+                         ReadEnvelopeFile(path));
+    ASSERT_EQ(sealed, mutated);
+    ExpectTyped(Partition::ReadChunkIds(sealed).status(), round);
+    Result<Partition> partition = Partition::Deserialize(sealed);
+    ExpectTyped(partition.status(), round);
+    if (!partition.ok()) continue;
+    for (ChunkId id : partition->chunk_ids()) {
+      const ColumnChunk* chunk = partition->Get(id).ValueOrDie();
+      ExpectTyped(chunk->DecodeAsDouble(&identity).status(), round);
+      (void)chunk->min_value();  // Zone-map stats decode the chunk too.
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DecoderMutationTest,
+                         ::testing::Values(101, 102, 103, 104));
 
 // ------------------------------------------- On-disk corruption injection
 

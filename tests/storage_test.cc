@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -191,6 +192,80 @@ TEST(PartitionTest, CorruptMagicRejected) {
   std::vector<uint8_t> junk(64, 0xab);
   EXPECT_EQ(Partition::Deserialize(junk).status().code(),
             StatusCode::kCorruption);
+}
+
+// Header: magic u32, id u32, codec u8, chunk count u32. Each directory
+// entry: id u64, dtype u8, bit width u8, value count u64, length u64.
+constexpr size_t kHeaderBytes = 13;
+constexpr size_t kEntryBytes = 26;
+
+void PatchU64(std::vector<uint8_t>* bytes, size_t offset, uint64_t v) {
+  std::memcpy(bytes->data() + offset, &v, sizeof(v));
+}
+
+std::vector<uint8_t> TwoChunkPartition(CodecType type) {
+  Partition p(5);
+  EXPECT_OK(p.Add(1, ColumnChunk::FromDoubles(RandomDoubles(16, 4))));
+  EXPECT_OK(p.Add(2, ColumnChunk::FromBins(std::vector<uint8_t>(40, 3))));
+  const Codec* codec = GetCodec(type).ValueOrDie();
+  return p.Serialize(*codec).ValueOrDie();
+}
+
+TEST(PartitionTest, HugeChunkCountIsCorruption) {
+  std::vector<uint8_t> bytes = TwoChunkPartition(CodecType::kLzss);
+  const uint32_t count = ~uint32_t{0};
+  std::memcpy(bytes.data() + 9, &count, sizeof(count));
+  EXPECT_EQ(Partition::Deserialize(bytes).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(Partition::ReadChunkIds(bytes).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(PartitionTest, WrappingChunkLengthIsCorruption) {
+  std::vector<uint8_t> bytes = TwoChunkPartition(CodecType::kNone);
+  // offset (128) + length wraps to 8: inside the payload if unchecked.
+  PatchU64(&bytes, kHeaderBytes + kEntryBytes + 18, ~uint64_t{0} - 119);
+  EXPECT_EQ(Partition::Deserialize(bytes).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(PartitionTest, ChunkLengthMustMatchValueCount) {
+  for (uint64_t num_values : {uint64_t{15}, uint64_t{17}, ~uint64_t{0}}) {
+    std::vector<uint8_t> bytes = TwoChunkPartition(CodecType::kNone);
+    PatchU64(&bytes, kHeaderBytes + 10, num_values);
+    EXPECT_EQ(Partition::Deserialize(bytes).status().code(),
+              StatusCode::kCorruption)
+        << num_values;
+  }
+}
+
+TEST(PartitionTest, DuplicateChunkIdIsCorruption) {
+  std::vector<uint8_t> bytes = TwoChunkPartition(CodecType::kNone);
+  PatchU64(&bytes, kHeaderBytes + kEntryBytes, 1);
+  EXPECT_EQ(Partition::Deserialize(bytes).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(PartitionTest, IncompressiblePayloadIsStoredRaw) {
+  // Gaussian doubles do not shrink under LZSS: the partition is written
+  // raw, tagged kNone, and reads back the same.
+  Partition p(3);
+  const std::vector<double> values = RandomDoubles(4096, 8);
+  ASSERT_OK(p.Add(1, ColumnChunk::FromDoubles(values)));
+  ASSERT_OK_AND_ASSIGN(const Codec* lzss, GetCodec(CodecType::kLzss));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, p.Serialize(*lzss));
+  EXPECT_EQ(bytes[8], static_cast<uint8_t>(CodecType::kNone));
+  EXPECT_EQ(bytes.size(), kHeaderBytes + kEntryBytes + 8 + 8 * values.size());
+  ASSERT_OK_AND_ASSIGN(Partition q, Partition::Deserialize(bytes));
+  ASSERT_OK_AND_ASSIGN(const ColumnChunk* c, q.Get(1));
+  ASSERT_OK_AND_ASSIGN(std::vector<double> decoded, c->DecodeAsDouble());
+  EXPECT_EQ(decoded, values);
+
+  // A payload LZSS does shrink keeps its LZSS tag.
+  Partition r(4);
+  ASSERT_OK(r.Add(1, ColumnChunk::FromBins(std::vector<uint8_t>(4096, 1))));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> packed, r.Serialize(*lzss));
+  EXPECT_EQ(packed[8], static_cast<uint8_t>(CodecType::kLzss));
 }
 
 // --------------------------------------------------------- InMemoryStore
